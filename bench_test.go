@@ -640,7 +640,7 @@ func BenchmarkServeColdSolve(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srv := server.New(context.Background(), server.Config{CacheSize: 1, MaxSolves: 1})
+		srv := server.New(context.Background(), server.Config{CacheSize: 1, SolvePool: 1})
 		benchServePost(b, srv.Handler(), "/solve", payload)
 	}
 }
@@ -652,7 +652,7 @@ func BenchmarkServeColdSolve(b *testing.B) {
 func BenchmarkServeObfuscateCached(b *testing.B) {
 	e := benchSetup(b)
 	spec := benchServeSpec(e)
-	srv := server.New(context.Background(), server.Config{CacheSize: 4, MaxSolves: 2, Seed: 7})
+	srv := server.New(context.Background(), server.Config{CacheSize: 4, SolvePool: 2, Seed: 7})
 	h := srv.Handler()
 	warm, err := json.Marshal(spec)
 	if err != nil {

@@ -94,13 +94,6 @@ go test -race -run 'TestAdmission|TestServeGate|TestCoalesce' ./internal/server
 go test -count=1 -run 'TestLoadSmoke' ./cmd/vlpload
 go test -count=1 -run 'TestLoadFleetSmoke' ./cmd/vlpload
 
-# Presolve-invariance gate: the LP presolve pass is solver-internal and
-# must never change a served mechanism. Both column-generation LP shapes
-# are irreducible, so presolve must take its zero-reduction aliasing
-# path and a fixed instance must solve to bit-identical wire bytes with
-# the pass disabled (lp.Options.NoPresolve).
-go test -count=1 -run 'TestPresolveInvariant' ./internal/serial
-
 # Allocation-regression gate: the warm-start hot paths (persistent
 # master re-solve, persistent pricing subproblems) carry AllocsPerRun
 # budgets; run them without -race, whose instrumentation changes alloc
@@ -112,4 +105,3 @@ go test -count=1 -run 'Allocs' ./internal/lp ./internal/core
 go test -fuzz=FuzzNetworkRoundTrip -fuzztime=10s -run '^$' ./internal/serial
 go test -fuzz=FuzzMechanismRoundTrip -fuzztime=10s -run '^$' ./internal/serial
 go test -fuzz=FuzzStoreDecode -fuzztime=10s -run '^$' ./internal/serial
-go test -fuzz=FuzzMPSRoundTrip -fuzztime=10s -run '^$' ./internal/lp

@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/discretize"
-	"repro/internal/lp"
 	"repro/internal/roadnet"
 	"repro/internal/serial"
 	"repro/internal/server"
@@ -39,8 +38,8 @@ import (
 
 // benchSizes mirrors the cgBenchSizes table in bench_test.go.
 // DenseColdNs is the checked-in cold ns/op of the last dense-kernel
-// build (BENCH_solver.json before the sparse CSC/CSR + presolve
-// kernels landed); the report carries speedup_vs_dense against it so
+// build (BENCH_solver.json before the sparse CSC/CSR kernels
+// landed); the report carries speedup_vs_dense against it so
 // the sparse-kernel win stays visible after the baseline is gone.
 var benchSizes = []struct {
 	Name        string
@@ -61,38 +60,6 @@ type measurement struct {
 	ETDD        float64 `json:"etdd,omitempty"`
 }
 
-// presolveReport is the lp.Presolve reduction on one LP shape: absolute
-// removals plus ratios against the original size. Near-zero values are
-// the expected (honest) result on CG formulations.
-type presolveReport struct {
-	Rows        int     `json:"rows"`
-	Cols        int     `json:"cols"`
-	Nnz         int     `json:"nnz"`
-	RowsRemoved int     `json:"rows_removed"`
-	ColsRemoved int     `json:"cols_removed"`
-	NnzRemoved  int     `json:"nnz_removed"`
-	RowRatio    float64 `json:"row_ratio"`
-	ColRatio    float64 `json:"col_ratio"`
-	NnzRatio    float64 `json:"nnz_ratio"`
-}
-
-func toPresolveReport(st lp.PresolveStats) presolveReport {
-	return presolveReport{
-		Rows: st.Rows, Cols: st.Cols, Nnz: st.Nnz,
-		RowsRemoved: st.RowsRemoved, ColsRemoved: st.ColsRemoved, NnzRemoved: st.NnzRemoved,
-		RowRatio: intRatio(st.RowsRemoved, st.Rows),
-		ColRatio: intRatio(st.ColsRemoved, st.Cols),
-		NnzRatio: intRatio(st.NnzRemoved, st.Nnz),
-	}
-}
-
-func intRatio(a, b int) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
-
 type pairReport struct {
 	Size       string      `json:"size"`
 	K          int         `json:"k"`
@@ -105,9 +72,6 @@ type pairReport struct {
 	// SpeedupVsDense = dense baseline / current cold.
 	DenseBaselineNs int64   `json:"dense_baseline_ns"`
 	SpeedupVsDense  float64 `json:"speedup_vs_dense"`
-	// Presolve reduction ratios for this tier's two LP shapes.
-	PresolveMaster  presolveReport `json:"presolve_master"`
-	PresolvePricing presolveReport `json:"presolve_pricing"`
 }
 
 type serveReport struct {
@@ -157,7 +121,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, " %s, warm...", time.Duration(cold.NsPerOp))
 		warm := measureSolveCG(pr, false)
 		fmt.Fprintf(os.Stderr, " %s\n", time.Duration(warm.NsPerOp))
-		psMaster, psPricing := core.PresolveReduction(pr)
 		rep.SolveCG = append(rep.SolveCG, pairReport{
 			Size:            size.Name,
 			K:               pr.Part.K(),
@@ -168,8 +131,6 @@ func main() {
 			BytesRatio:      ratio(cold.BytesPerOp, warm.BytesPerOp),
 			DenseBaselineNs: size.DenseColdNs,
 			SpeedupVsDense:  ratio(size.DenseColdNs, cold.NsPerOp),
-			PresolveMaster:  toPresolveReport(psMaster),
-			PresolvePricing: toPresolveReport(psPricing),
 		})
 	}
 
@@ -271,14 +232,14 @@ func measureServe() (*serveReport, error) {
 	coldRes := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			srv := server.New(context.Background(), server.Config{CacheSize: 1, MaxSolves: 1})
+			srv := server.New(context.Background(), server.Config{CacheSize: 1, SolvePool: 1})
 			if err := servePost(srv.Handler(), "/solve", solvePayload); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 
-	srv := server.New(context.Background(), server.Config{CacheSize: 4, MaxSolves: 2, Seed: 7})
+	srv := server.New(context.Background(), server.Config{CacheSize: 4, SolvePool: 2, Seed: 7})
 	h := srv.Handler()
 	if err := servePost(h, "/solve", solvePayload); err != nil {
 		return nil, err

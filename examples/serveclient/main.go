@@ -34,7 +34,7 @@ func main() {
 		// Self-contained demo: an in-process instance with a tight solve
 		// admission gate, so the retry path actually exercises 429s when
 		// the example is run with concurrent batches.
-		srv := server.New(context.Background(), server.Config{MaxSolves: 1, SolveDeadline: time.Minute})
+		srv := server.New(context.Background(), server.Config{SolvePool: 1, SolveDeadline: time.Minute})
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		defer srv.Shutdown(context.Background())

@@ -676,41 +676,6 @@ func buildMasterProblem(k int, columns []cgColumn, rho float64) *lp.Problem {
 	return prob
 }
 
-// PresolveReduction reports what lp.Presolve removes from the two LP
-// shapes this instance generates: the restricted master over the seed
-// column pool and one pricing dual subproblem. The benchmark suite
-// archives the ratios per K tier — honest near-zero numbers on these
-// shapes are expected (CG formulations carry no redundant rows), and a
-// sudden nonzero value flags a formulation change.
-func PresolveReduction(pr *Problem) (master, pricing lp.PresolveStats) {
-	k := pr.Part.K()
-	columns := seedColumns(pr, false)
-	cmax := 0.0
-	for _, c := range pr.Costs {
-		if c > cmax {
-			cmax = c
-		}
-	}
-	rho := 10 * cmax
-	if rho <= 0 {
-		rho = 1
-	}
-	master = lp.Presolve(buildMasterProblem(k, columns, rho)).Stats()
-	// The pricing shape as priceOneCold builds it: sub_0 at the zero dual
-	// point, so the right-hand sides are the real −w values rather than
-	// the warm template's placeholders.
-	sub := newPricer(pr, CGOptions{}.withDefaults())
-	dual := lp.NewProblem(sub.numDual)
-	for b := 0; b < k; b++ {
-		dual.SetObjectiveCoeff(2*len(pr.Red.Pairs)+b, 1)
-	}
-	for i := 0; i < k; i++ {
-		dual.AddConstraint(sub.dualRows[i], lp.GE, -pr.Costs[i*k])
-	}
-	pricing = lp.Presolve(dual).Stats()
-	return master, pricing
-}
-
 // masterState is the persistent restricted master: one interior-point
 // instance kept alive for the whole column-generation run. The variable
 // layout puts the 2K stabilization slacks first (so their indices never

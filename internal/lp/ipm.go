@@ -34,11 +34,6 @@ func SolveIPM(p *Problem, opts Options) (*Solution, error) {
 	if err := faultinject.At(FaultSiteIPM); err != nil {
 		return nil, fmt.Errorf("lp: injected fault: %w", err)
 	}
-	if !opts.NoPresolve {
-		if sol, done, err := solvePresolved(p, opts, SolveIPM); done {
-			return sol, err
-		}
-	}
 	ip := newIPM(p, opts)
 	return ip.solve()
 }

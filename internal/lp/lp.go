@@ -219,13 +219,6 @@ type Options struct {
 	// iteration) and return Ctx.Err() as soon as it is done. Nil means
 	// run to completion.
 	Ctx context.Context
-	// NoPresolve skips the Presolve reduction pass that Solve and
-	// SolveIPM otherwise run first. The warm-start paths (Prepared,
-	// IPMSolver) never presolve — their compiled form must match the
-	// caller's row/column indices — so this flag exists for A/B
-	// comparisons (the presolve-invariance CI gate) and for callers that
-	// need the solver to see their exact formulation.
-	NoPresolve bool
 }
 
 func (o Options) withDefaults(m, n int) Options {
@@ -264,11 +257,6 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	if opts.Ctx != nil {
 		if err := opts.Ctx.Err(); err != nil {
 			return nil, err
-		}
-	}
-	if !opts.NoPresolve {
-		if sol, done, err := solvePresolved(p, opts, Solve); done {
-			return sol, err
 		}
 	}
 	sol, err := newSimplex(p, opts).solve()

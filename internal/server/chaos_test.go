@@ -80,7 +80,7 @@ func TestChaos(t *testing.T) {
 
 			srv := New(context.Background(), Config{
 				CacheSize:      8,
-				MaxSolves:      4,
+				SolvePool:      4,
 				SolveDeadline:  tc.deadline,
 				DisableUpgrade: true, // upgrades would re-solve under the same fault
 				Seed:           7,

@@ -98,7 +98,7 @@ func (c *solveCounter) total() int {
 // flight group and samplers.
 func TestConcurrentClients(t *testing.T) {
 	t.Run("singleflight dedup", func(t *testing.T) {
-		srv := New(context.Background(), Config{CacheSize: 8, MaxSolves: 4})
+		srv := New(context.Background(), Config{CacheSize: 8, SolvePool: 4})
 		ctr := &solveCounter{counts: map[string]int{}, delay: 100 * time.Millisecond, tb: t}
 		ctr.install(srv)
 		ts := httptest.NewServer(srv.Handler())
@@ -136,7 +136,7 @@ func TestConcurrentClients(t *testing.T) {
 	})
 
 	t.Run("backpressure past in-flight limit", func(t *testing.T) {
-		srv := New(context.Background(), Config{CacheSize: 8, MaxSolves: 1})
+		srv := New(context.Background(), Config{CacheSize: 8, SolvePool: 1})
 		ctr := &solveCounter{counts: map[string]int{}, delay: 300 * time.Millisecond, tb: t}
 		ctr.install(srv)
 		ts := httptest.NewServer(srv.Handler())
@@ -195,7 +195,7 @@ func TestConcurrentClients(t *testing.T) {
 	})
 
 	t.Run("mixed hammer", func(t *testing.T) {
-		srv := New(context.Background(), Config{CacheSize: 8, MaxSolves: 4})
+		srv := New(context.Background(), Config{CacheSize: 8, SolvePool: 4})
 		ctr := &solveCounter{counts: map[string]int{}, delay: 20 * time.Millisecond, tb: t}
 		ctr.install(srv)
 		ts := httptest.NewServer(srv.Handler())
@@ -228,7 +228,7 @@ func TestConcurrentClients(t *testing.T) {
 	})
 
 	t.Run("clean shutdown drains solves", func(t *testing.T) {
-		srv := New(context.Background(), Config{CacheSize: 8, MaxSolves: 2})
+		srv := New(context.Background(), Config{CacheSize: 8, SolvePool: 2})
 		solveStarted := make(chan struct{})
 		release := make(chan struct{})
 		srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec) (*entry, error) {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"math/rand"
 	"syscall"
 
 	"repro/internal/core"
@@ -173,16 +172,8 @@ func (s *Server) entryFromStore(key string, spec *serial.SolveSpec) *entry {
 		s.stats.storeLoadFailed(false)
 		return nil
 	}
-	e := &entry{
-		key:      key,
-		prob:     pr,
-		mech:     served,
-		etdd:     etdd,
-		bound:    se.Bound,
-		tier:     se.Tier,
-		sampleMu: newChanMutex(),
-		rng:      rand.New(rand.NewSource(s.cfg.Seed + s.seq.Add(1))),
-	}
+	e := s.newEntry(pr, served, etdd, se.Bound, se.Tier)
+	e.key = key
 	if se.State != nil {
 		// A failed state restore only loses the warm start, not the entry.
 		if st, err := restoreState(se.State); err == nil {

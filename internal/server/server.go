@@ -66,13 +66,9 @@ const geoITol = 1e-10
 type Config struct {
 	// CacheSize bounds the mechanism LRU (default 16).
 	CacheSize int
-	// MaxSolves bounds concurrently running cold solves; requests whose
-	// spec needs a solve past this limit receive 429 (default 2).
-	// Deprecated alias for SolvePool: when both are set, SolvePool wins.
-	MaxSolves int
 	// SolvePool bounds concurrently running cold solves (the solve
 	// tier); requests whose spec needs a solve past this limit receive
-	// 429. Zero falls back to MaxSolves, then to the default of 2.
+	// 429 (default 2).
 	SolvePool int
 	// ServePool bounds concurrently sampling obfuscate requests (the
 	// serve tier, default 32). The serve pool is disjoint from the solve
@@ -140,9 +136,6 @@ func (c Config) withDefaults() Config {
 		c.CacheSize = 16
 	}
 	if c.SolvePool <= 0 {
-		c.SolvePool = c.MaxSolves
-	}
-	if c.SolvePool <= 0 {
 		c.SolvePool = 2
 	}
 	if c.ServePool <= 0 {
@@ -208,6 +201,33 @@ func (m chanMutex) lock(ctx context.Context) error {
 }
 
 func (m chanMutex) unlock() { <-m }
+
+// newEntry wraps a servable (EnforceGeoI-verified) mechanism in a cache
+// entry with its own sampler stream. It is the only place entries for
+// serving are built.
+func (s *Server) newEntry(pr *core.Problem, mech *core.Mechanism, etdd, bound float64, tier string) *entry {
+	return &entry{
+		prob:     pr,
+		mech:     mech,
+		etdd:     etdd,
+		bound:    bound,
+		tier:     tier,
+		sampleMu: newChanMutex(),
+		rng:      rand.New(rand.NewSource(s.cfg.Seed + s.seq.Add(1))),
+	}
+}
+
+// fallbackEntry builds the bottom-rung entry — the ε/2 exponential
+// mechanism, repaired to exact Geo-I feasibility — without touching
+// the solve pool. The privacy guarantee is identical to every other
+// rung; only ETDD degrades.
+func (s *Server) fallbackEntry(pr *core.Problem) (*entry, error) {
+	served, etdd, err := pr.EnforceGeoI(pr.ExponentialMechanism(), geoITol)
+	if err != nil {
+		return nil, err
+	}
+	return s.newEntry(pr, served, etdd, 0, serial.QualityFallback), nil
+}
 
 // sample obfuscates one true location under the entry's mechanism.
 func (e *entry) sample(ctx context.Context, truth roadnet.Location) (roadnet.Location, error) {
@@ -503,24 +523,11 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 			served, tier = nil, serial.QualityFallback
 		}
 	}
-	if served == nil {
-		// Bottom rung: the ε/2 exponential mechanism is strictly
-		// feasible by construction; EnforceGeoI verifies that once more
-		// before the entry becomes servable.
-		served, etdd, err = pr.EnforceGeoI(pr.ExponentialMechanism(), geoITol)
-		if err != nil {
-			return nil, err
-		}
-		bound = 0
-	}
-	e := &entry{
-		prob:     pr,
-		mech:     served,
-		etdd:     etdd,
-		bound:    bound,
-		tier:     tier,
-		sampleMu: newChanMutex(),
-		rng:      rand.New(rand.NewSource(s.cfg.Seed + s.seq.Add(1))),
+	var e *entry
+	if served != nil {
+		e = s.newEntry(pr, served, etdd, bound, tier)
+	} else if e, err = s.fallbackEntry(pr); err != nil { // bottom rung
+		return nil, err
 	}
 	if tier != serial.QualityOptimal && res != nil && res.State != nil {
 		// Keep the interrupted run's pool so the upgrade re-solve starts

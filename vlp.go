@@ -150,8 +150,9 @@ func (m *Mechanism) Obfuscate(rng *rand.Rand, truth Location) Location {
 
 // Sampler is a concurrency-safe obfuscation handle: it owns a seeded RNG
 // behind a mutex so any number of goroutines can draw obfuscated
-// locations from one shared (immutable) mechanism. This is the sampling
-// entry point the vlpserved service uses per cached mechanism.
+// locations from one shared (immutable) mechanism. It is a deterministic
+// sampler for reproducible single-process experiments: its stream is
+// fixed by the seed, so it is not a source of secret noise.
 type Sampler struct {
 	m   *Mechanism
 	mu  sync.Mutex
