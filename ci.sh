@@ -1,17 +1,18 @@
 #!/bin/sh
-# Tier-1+ gate. The first four commands are the fast tier-1 check
-# (build, vet, vlplint, tests); the race pass re-runs every test under
+# Tier-1+ gate. The first five commands are the fast tier-1 check
+# (build, vet, gofmt, vlplint, tests); the race pass re-runs every test under
 # the race detector and is what guards the concurrent obfuscation
 # service (internal/server) and the parallel column-generation pricing.
 # Expect the race pass to take a few minutes — internal/core dominates.
 #
 #   ./ci.sh         full gate
-#   ./ci.sh -quick  build + vet + vlplint + lint-suite tests
+#   ./ci.sh -quick  build + vet + gofmt + vlplint + lint-suite tests
 #                   (pre-push sanity, well under a minute)
 set -eux
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 
 # Domain-invariant static analysis: cmd/vlplint enforces the solver's
 # safety contracts (Geo-I repair gate, atomic stats, context plumbing,
@@ -95,13 +96,18 @@ go test -count=1 -run 'TestLoadSmoke' ./cmd/vlpload
 go test -count=1 -run 'TestLoadFleetSmoke' ./cmd/vlpload
 
 # Allocation-regression gate: the warm-start hot paths (persistent
-# master re-solve, persistent pricing subproblems) carry AllocsPerRun
-# budgets; run them without -race, whose instrumentation changes alloc
-# counts. A failure here means a kernel started allocating per round.
-go test -count=1 -run 'Allocs' ./internal/lp ./internal/core
+# master re-solve, persistent pricing subproblems) and the cached
+# /obfuscate serve carry AllocsPerRun budgets; run them without -race,
+# whose instrumentation changes alloc counts. A failure here means a
+# kernel started allocating per round, or a cached serve started
+# re-decoding its road network.
+go test -count=1 -run 'Allocs' ./internal/lp ./internal/core ./internal/server
 
 # Fuzz smoke: ten seconds per serial decoder, enough to catch a freshly
-# introduced parsing crash without stalling the gate.
+# introduced parsing crash without stalling the gate. FuzzObfuscateDecode
+# holds the served decode, network memo included, to the plain
+# json.Decoder path on every body.
 go test -fuzz=FuzzNetworkRoundTrip -fuzztime=10s -run '^$' ./internal/serial
 go test -fuzz=FuzzMechanismRoundTrip -fuzztime=10s -run '^$' ./internal/serial
 go test -fuzz=FuzzStoreDecode -fuzztime=10s -run '^$' ./internal/serial
+go test -fuzz=FuzzObfuscateDecode -fuzztime=10s -run '^$' ./internal/server

@@ -15,7 +15,7 @@ import (
 )
 
 func TestMechCacheLRU(t *testing.T) {
-	c := newMechCache(2)
+	c := newLRU[string, *entry](2)
 	a, b, d := &entry{key: "a"}, &entry{key: "b"}, &entry{key: "d"}
 	if ev := c.add("a", a); ev != 0 {
 		t.Fatalf("evicted %d from empty cache", ev)

@@ -336,7 +336,7 @@ func TestChaosStoreFaults(t *testing.T) {
 		assertServable(t, e)
 		faultinject.Clear(site)
 		// Evict by hand so the next request is a fresh miss.
-		srv.cache = newMechCache(srv.cfg.CacheSize)
+		srv.cache = newLRU[string, *entry](srv.cfg.CacheSize)
 	}
 	if snap := srv.Stats(); snap.StoreWrites != 0 {
 		t.Fatalf("store_writes = %d with every commit faulted, want 0", snap.StoreWrites)
@@ -350,7 +350,7 @@ func TestChaosStoreFaults(t *testing.T) {
 	if snap := srv.Stats(); snap.StoreWrites != 1 {
 		t.Fatalf("store_writes = %d after faults cleared, want 1", snap.StoreWrites)
 	}
-	srv.cache = newMechCache(srv.cfg.CacheSize)
+	srv.cache = newLRU[string, *entry](srv.cfg.CacheSize)
 	faultinject.Set(store.FaultSiteRead, faultinject.Fault{Err: errors.New("disk hiccup"), Times: 1})
 	e, _, err := srv.mechanismFor(context.Background(), specs[1])
 	if err != nil {
@@ -362,7 +362,7 @@ func TestChaosStoreFaults(t *testing.T) {
 		t.Fatalf("store_load_errors=%d corrupt_quarantined=%d after read fault, want 1/0",
 			snap.StoreLoadErrors, snap.CorruptQuarantined)
 	}
-	srv.cache = newMechCache(srv.cfg.CacheSize)
+	srv.cache = newLRU[string, *entry](srv.cfg.CacheSize)
 	if _, _, err := srv.mechanismFor(context.Background(), specs[1]); err != nil {
 		t.Fatal(err)
 	}

@@ -294,7 +294,7 @@ func TestFleetStaleFenceDemotesLeader(t *testing.T) {
 		s := srv.Stats()
 		return s.LeaseState == "leader" && s.FenceToken == 1
 	})
-	srv.cache = newMechCache(srv.cfg.CacheSize)
+	srv.cache = newLRU[string, *entry](srv.cfg.CacheSize)
 	if _, _, err := srv.mechanismFor(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}

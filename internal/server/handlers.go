@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,19 +44,16 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.setLeaderHeader(w)
-	var spec serial.SolveSpec
-	if !s.decode(w, r, &spec) {
+	req, nk, ok := s.decodeSpec(w, r)
+	if !ok {
 		return
 	}
-	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	e, cached, err := s.mechanismFor(r.Context(), &spec)
+	e, cached, err := s.mechanismFor(r.Context(), &req.SolveSpec)
 	if err != nil {
 		s.writeServiceError(w, err)
 		return
 	}
+	s.nets.add(nk, req.Network)
 	writeJSON(w, http.StatusOK, serial.SolveResponse{
 		Key:     e.key,
 		Cached:  cached,
@@ -68,12 +67,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleObfuscate(w http.ResponseWriter, r *http.Request) {
 	s.setLeaderHeader(w)
-	var req serial.ObfuscateRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	req, nk, ok := s.decodeSpec(w, r)
+	if !ok {
 		return
 	}
 	if len(req.Locations) == 0 {
@@ -89,6 +84,8 @@ func (s *Server) handleObfuscate(w http.ResponseWriter, r *http.Request) {
 		s.writeServiceError(w, err)
 		return
 	}
+	s.nets.add(nk, req.Network)
+
 	// Sampling runs on the serve tier, acquired only after the mechanism
 	// is in hand: a request that just paid for (or queued on) a cold
 	// solve holds no serve slot during that wait, and a cached request
@@ -143,23 +140,97 @@ func toLocation(g *roadnet.Graph, l serial.Loc) (roadnet.Location, error) {
 	return roadnet.LocationFromStart(g, roadnet.EdgeID(l.Road), l.FromStart), nil
 }
 
-// decode reads a bounded JSON body into v, answering 4xx on failure.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+// specBody is how the handlers decode a /solve or /obfuscate body. Its
+// depth-0 Network field shadows the promoted SolveSpec.Network, so the
+// road network stays raw for networkFor while every other field decodes
+// through serial.ObfuscateRequest as before. A /solve body carries no
+// locations; the field just stays empty.
+type specBody struct {
+	serial.ObfuscateRequest
+	Network rawNetwork `json:"network"`
+}
+
+// rawNetwork collects the raw bytes of every "network" member of a
+// body, in order. encoding/json decodes a repeated or case-variant key
+// into the same *Network, merging each later object into the earlier
+// one, so keeping only the last member would change what such a body
+// means; networkFor replays every member instead.
+type rawNetwork [][]byte
+
+func (r *rawNetwork) UnmarshalJSON(b []byte) error {
+	*r = append(*r, append([]byte(nil), b...))
+	return nil
+}
+
+// netKey names a rawNetwork in the memo: the SHA-256 of its members,
+// each prefixed by its length.
+type netKey [sha256.Size]byte
+
+func (r rawNetwork) key() netKey {
+	h := sha256.New()
+	var n [8]byte
+	for _, b := range r {
+		binary.BigEndian.PutUint64(n[:], uint64(len(b)))
+		h.Write(n[:])
+		h.Write(b)
+	}
+	var k netKey
+	h.Sum(k[:0])
+	return k
+}
+
+// networkFor decodes a body's road network. When these exact raw bytes
+// were decoded before it returns the memoised *Network; otherwise it
+// json.Unmarshals each member in order into one *Network, as the body
+// decode would have. It is a pure cache of that decode: the shared
+// *Network is only ever read, and Validate and Digest still run on
+// every request. A miss is not inserted here. The handlers file the
+// network under its key only once mechanismFor has resolved the spec,
+// so invalid or unsolvable specs never fill the memo.
+func (s *Server) networkFor(raw rawNetwork) (netKey, *serial.Network, error) {
+	k := raw.key()
+	if n, ok := s.nets.get(k); ok {
+		return k, n, nil
+	}
+	var n *serial.Network
+	for _, b := range raw {
+		if err := json.Unmarshal(b, &n); err != nil {
+			return k, nil, err
+		}
+	}
+	return k, n, nil
+}
+
+// decodeSpec reads a bounded /solve or /obfuscate body and validates its
+// spec, answering 4xx (503 while draining) and returning ok=false on
+// failure. The returned key is where the handler files req.Network in
+// the memo once the spec's mechanism is in hand.
+func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (req *serial.ObfuscateRequest, nk netKey, ok bool) {
 	if s.closed.Load() {
 		writeError(w, http.StatusServiceUnavailable, ErrClosed)
-		return false
+		return nil, nk, false
 	}
+	var body specBody
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(&body)
+	if err == nil {
+		nk, body.ObfuscateRequest.Network, err = s.networkFor(body.Network)
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, err)
 		} else {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("server: bad request body: %w", err))
 		}
-		return false
+		return nil, nk, false
 	}
-	return true
+	req = &body.ObfuscateRequest
+	if err := req.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return nil, nk, false
+	}
+	return req, nk, true
 }
 
 // writeServiceError maps mechanismFor/sample failures to statuses:

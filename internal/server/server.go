@@ -4,7 +4,9 @@
 // generation solve is expensive but its result is a reusable K×K matrix,
 // so the server solves each (network, params) spec once, caches the
 // mechanism in a bounded LRU keyed by the spec's content digest, and
-// serves obfuscation requests from the cache at sampling cost.
+// serves obfuscation requests from the cache without re-solving. The
+// road network a request carries is memoised as well, so a cached serve
+// does not decode it again (see networkFor).
 //
 // Concurrency contract:
 //
@@ -64,7 +66,8 @@ const geoITol = 1e-10
 
 // Config tunes a Server. The zero value selects sensible defaults.
 type Config struct {
-	// CacheSize bounds the mechanism LRU (default 16).
+	// CacheSize bounds the mechanism LRU and the decoded-network memo
+	// (default 16).
 	CacheSize int
 	// SolvePool bounds concurrently running cold solves (the solve
 	// tier); requests whose spec needs a solve past this limit receive
@@ -252,8 +255,11 @@ var (
 // Server is the obfuscation service. Create with New; all methods are
 // safe for concurrent use.
 type Server struct {
-	cfg    Config
-	cache  *mechCache
+	cfg   Config
+	cache *lru[string, *entry]
+	// nets memoises decoded request networks by netKey (handlers.go), so
+	// a cached serve does not re-decode the road network it carries.
+	nets   *lru[netKey, *serial.Network]
 	flight *group
 	slots  chan struct{} // admission gate for cold solves (the solve pool)
 	// serveGate is the disjoint admission gate for the sampling tier:
@@ -316,7 +322,8 @@ func New(ctx context.Context, cfg Config) *Server {
 	st := &stats{}
 	s := &Server{
 		cfg:       cfg,
-		cache:     newMechCache(cfg.CacheSize),
+		cache:     newLRU[string, *entry](cfg.CacheSize),
+		nets:      newLRU[netKey, *serial.Network](cfg.CacheSize),
 		flight:    newGroup(&st.coalesced, &st.solveQueueDepth),
 		slots:     make(chan struct{}, cfg.SolvePool),
 		serveGate: newTierGate(cfg.ServePool, cfg.ServeQueue, &st.serveQueueDepth, &st.admissionRejects),

@@ -196,7 +196,7 @@ type StatsSnapshot struct {
 // be momentarily inconsistent across counters (hits vs. solves); that
 // is fine for a monitoring endpoint and is the price of the lock-free
 // request path.
-func (s *stats) snapshot(cache *mechCache, leaseState string, fence uint64, breakerState string, breakerTrips, quarGC uint64) StatsSnapshot {
+func (s *stats) snapshot(cache *lru[string, *entry], leaseState string, fence uint64, breakerState string, breakerTrips, quarGC uint64) StatsSnapshot {
 	solves := s.solves.Load()
 	snap := StatsSnapshot{
 		LeaseState:        leaseState,
@@ -204,16 +204,16 @@ func (s *stats) snapshot(cache *mechCache, leaseState string, fence uint64, brea
 		ProxyBreakerState: breakerState,
 		ProxyBreakerTrips: breakerTrips,
 		QuarantineGCBytes: quarGC,
-		CacheHits:       s.hits.Load(),
-		CacheMisses:     s.misses.Load(),
-		CacheEvicted:    s.evicted.Load(),
-		Solves:          solves,
-		SolveErrors:     s.errors.Load(),
-		Rejected:        s.rejected.Load(),
-		DegradedServes:  s.nDegraded.Load(),
-		CancelledSolves: s.nCancelled.Load(),
-		PanicRecoveries: s.nPanics.Load(),
-		Upgrades:        s.nUpgrades.Load(),
+		CacheHits:         s.hits.Load(),
+		CacheMisses:       s.misses.Load(),
+		CacheEvicted:      s.evicted.Load(),
+		Solves:            solves,
+		SolveErrors:       s.errors.Load(),
+		Rejected:          s.rejected.Load(),
+		DegradedServes:    s.nDegraded.Load(),
+		CancelledSolves:   s.nCancelled.Load(),
+		PanicRecoveries:   s.nPanics.Load(),
+		Upgrades:          s.nUpgrades.Load(),
 
 		SolveQueueDepth:   s.solveQueueDepth.Load(),
 		ServeQueueDepth:   s.serveQueueDepth.Load(),
