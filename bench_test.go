@@ -648,11 +648,13 @@ func BenchmarkServeColdSolve(b *testing.B) {
 // BenchmarkServeObfuscateCached measures the hot path: batched
 // obfuscation against an already-cached mechanism. The acceptance bar
 // for the service split is this path running ≥100× faster than the
-// cold solve above.
+// cold solve above. The parallel case posts 256-location batches on one
+// digest from every CPU at once, so it shows whether sampling one hot
+// mechanism serialises.
 func BenchmarkServeObfuscateCached(b *testing.B) {
 	e := benchSetup(b)
 	spec := benchServeSpec(e)
-	srv := server.New(context.Background(), server.Config{CacheSize: 4, SolvePool: 2, Seed: 7})
+	srv := server.New(context.Background(), server.Config{CacheSize: 4, SolvePool: 2})
 	h := srv.Handler()
 	warm, err := json.Marshal(spec)
 	if err != nil {
@@ -661,18 +663,35 @@ func BenchmarkServeObfuscateCached(b *testing.B) {
 	benchServePost(b, h, "/solve", warm)
 
 	rng := rand.New(rand.NewSource(45))
-	req := serial.ObfuscateRequest{SolveSpec: *spec}
-	for j := 0; j < 16; j++ {
-		road := rng.Intn(e.g.NumEdges())
-		w := e.g.Edge(roadnet.EdgeID(road)).Weight
-		req.Locations = append(req.Locations, serial.Loc{Road: road, FromStart: rng.Float64() * w})
+	batch := func(n int) []byte {
+		req := serial.ObfuscateRequest{SolveSpec: *spec}
+		for j := 0; j < n; j++ {
+			road := rng.Intn(e.g.NumEdges())
+			w := e.g.Edge(roadnet.EdgeID(road)).Weight
+			req.Locations = append(req.Locations, serial.Loc{Road: road, FromStart: rng.Float64() * w})
+		}
+		payload, err := json.Marshal(&req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return payload
 	}
-	payload, err := json.Marshal(&req)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchServePost(b, h, "/obfuscate", payload)
-	}
+	serial16, parallel256 := batch(16), batch(256)
+	b.Run("serial-16", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchServePost(b, h, "/obfuscate", serial16)
+		}
+	})
+	b.Run("parallel-256", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/obfuscate", bytes.NewReader(parallel256)))
+				if w.Code != http.StatusOK {
+					b.Errorf("/obfuscate returned %d: %s", w.Code, w.Body.String())
+					return
+				}
+			}
+		})
+	})
 }

@@ -77,13 +77,16 @@ go test -race -run 'TestFleet|TestLease' ./internal/server ./internal/store
 VLP_CHAOS_OUT="$PWD/BENCH_chaos.json" go test -count=1 -run 'TestChaosSmoke' ./cmd/vlpchaos
 go run ./cmd/vlpchaos -check BENCH_chaos.json
 
-# Admission/coalescing gate: the serving-tier invariants under the race
+# Serving-tier gate: admission, coalescing and sampler invariants under the race
 # detector — cached digests keep serving (and are never 429'd) while a
 # deliberately slow cold solve holds every solve-pool slot, and a
 # same-digest burst inside one coalescing window costs exactly one
-# solve. These also run in the -race pass above; the explicit run keeps
-# the gate legible and fails fast when the admission layer regresses.
-go test -race -run 'TestAdmission|TestServeGate|TestCoalesce' ./internal/server
+# solve. The sampler tests hold served samples to the mechanism's row
+# while concurrent batches share the pooled, crypto-keyed generators,
+# and fail if a replayed seed stream predicts them. These also run in
+# the -race pass above; the explicit run keeps the gate legible and
+# fails fast when the serving tier regresses.
+go test -race -run 'TestAdmission|TestServeGate|TestCoalesce|TestSampler' ./internal/server
 
 # Load-harness smoke: a ~5s open-loop vlpload run against an in-process
 # vlpserved. Hard-fails on any response outside {2xx, 429} and on a

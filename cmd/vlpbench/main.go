@@ -239,7 +239,7 @@ func measureServe() (*serveReport, error) {
 		}
 	})
 
-	srv := server.New(context.Background(), server.Config{CacheSize: 4, SolvePool: 2, Seed: 7})
+	srv := server.New(context.Background(), server.Config{CacheSize: 4, SolvePool: 2})
 	h := srv.Handler()
 	if err := servePost(h, "/solve", solvePayload); err != nil {
 		return nil, err

@@ -7,7 +7,7 @@
 //
 //	vlpserved [-addr :8750] [-cache 16] [-solve-pool 2] [-serve-pool 32]
 //	          [-coalesce-window 0] [-solve-wait 2m]
-//	          [-solve-deadline 2m] [-no-upgrade] [-seed 1]
+//	          [-solve-deadline 2m] [-no-upgrade]
 //	          [-xi -0.05] [-relgap 0.02]
 //	          [-store-dir DIR] [-checkpoint-rounds 8] [-no-store]
 //	          [-fleet] [-advertise URL] [-instance NAME]
@@ -72,7 +72,6 @@ func main() {
 	solveWait := flag.Duration("solve-wait", 2*time.Minute, "max time a request waits for a cold solve")
 	solveDeadline := flag.Duration("solve-deadline", 2*time.Minute, "max wall time per CG solve before it degrades to its incumbent (0 = unbounded)")
 	noUpgrade := flag.Bool("no-upgrade", false, "disable background re-solves that promote degraded cache entries")
-	seed := flag.Int64("seed", 1, "base sampler seed")
 	xi := flag.Float64("xi", -0.05, "column-generation termination threshold ξ (≤ 0)")
 	relgap := flag.Float64("relgap", 0.02, "column-generation relative dual-gap stop")
 	storeDir := flag.String("store-dir", "", "durable snapshot store directory; empty selects vlpserved-store under the OS temp dir")
@@ -148,7 +147,6 @@ func main() {
 		SolveWait:        *solveWait,
 		SolveDeadline:    *solveDeadline,
 		DisableUpgrade:   *noUpgrade,
-		Seed:             *seed,
 		CG:               core.CGOptions{Xi: *xi, RelGap: *relgap},
 		Store:            st,
 		CheckpointRounds: *checkpointRounds,

@@ -9,7 +9,10 @@
 //     function that draws from shared process-wide state.
 //
 // Explicitly seeded generators remain fine: rand.New(rand.NewSource(s))
-// is deterministic and is how mechanism sampling receives its RNG.
+// is deterministic, and it is how experiments draw reproducible samples.
+// Served sampling lies outside this analyzer's scope: internal/server
+// keys its generators from crypto/rand on purpose, because Geo-I hides a
+// location only while the draw behind its report stays secret.
 // Timing belongs to the callers (internal/core records Elapsed; the
 // server records solve times) — kernels compute, they do not observe
 // the clock.

@@ -83,7 +83,6 @@ func TestChaos(t *testing.T) {
 				SolvePool:      4,
 				SolveDeadline:  tc.deadline,
 				DisableUpgrade: true, // upgrades would re-solve under the same fault
-				Seed:           7,
 			})
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()

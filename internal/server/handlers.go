@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 
 	"repro/internal/roadnet"
@@ -96,6 +97,8 @@ func (s *Server) handleObfuscate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.serveGate.release()
+	rng := samplers.Get().(*rand.Rand)
+	defer samplers.Put(rng)
 	g := e.prob.Part.G
 	out := make([]serial.Loc, len(req.Locations))
 	for i, loc := range req.Locations {
@@ -104,11 +107,7 @@ func (s *Server) handleObfuscate(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("location %d: %w", i, err))
 			return
 		}
-		obf, err := e.sample(r.Context(), truth)
-		if err != nil {
-			s.writeServiceError(w, err)
-			return
-		}
+		obf := e.sample(rng, truth)
 		out[i] = serial.Loc{Road: int(obf.Edge), FromStart: obf.FromStart(g)}
 	}
 	writeJSON(w, http.StatusOK, serial.ObfuscateResponse{
@@ -233,7 +232,7 @@ func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (req *serial
 	return req, nk, true
 }
 
-// writeServiceError maps mechanismFor/sample failures to statuses:
+// writeServiceError maps mechanismFor and serve-gate failures to statuses:
 // backpressure → 429, shutdown → 503, solve-wait or request deadline →
 // 504, anything else (a solver rejection of a pathological instance) →
 // 422.

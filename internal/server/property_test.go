@@ -39,7 +39,7 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, body interface{}) 
 // distribution within 1e-9, and every obfuscated location in a batched
 // response lands on a valid road interval of the requested network.
 func TestServedMechanismProperties(t *testing.T) {
-	srv := New(context.Background(), Config{CacheSize: 8, SolvePool: 2, Seed: 99})
+	srv := New(context.Background(), Config{CacheSize: 8, SolvePool: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -140,7 +140,7 @@ func TestServedMechanismProperties(t *testing.T) {
 // relative position within its interval, so a point at an interval
 // boundary maps to an interval boundary.
 func TestObfuscatePreservesRelativePosition(t *testing.T) {
-	srv := New(context.Background(), Config{Seed: 5})
+	srv := New(context.Background(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

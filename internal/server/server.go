@@ -21,8 +21,10 @@
 //     the separate serve pool — cached obfuscation never queues behind
 //     cold solves, so cached tail latency is isolated from solver
 //     saturation;
-//   - every cached mechanism carries its own seeded RNG behind a mutex,
-//     so obfuscation is safe from any number of handler goroutines;
+//   - samples are drawn with pooled ChaCha8 generators keyed from
+//     crypto/rand, one per request batch, so no observer can replay the
+//     draws behind a report and concurrent batches on one mechanism
+//     sample without a lock;
 //   - served mechanisms are re-verified against the full (ε, r)-Geo-I
 //     constraint set and repaired if solver tolerances left a residue
 //     (core.Problem.EnforceGeoI) — the service never hands out samples
@@ -47,8 +49,10 @@ package server
 
 import (
 	"context"
+	crand "crypto/rand"
 	"errors"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,10 +107,6 @@ type Config struct {
 	// DisableUpgrade turns off the background re-solve that promotes
 	// degraded cache entries to the optimal tier.
 	DisableUpgrade bool
-	// Seed is the base seed for per-mechanism sampler RNGs; each solved
-	// mechanism gets Seed+n for the n-th solve, so a fixed Seed makes a
-	// single-threaded request sequence reproducible (default 1).
-	Seed int64
 	// CG overrides the column-generation options for non-exact specs;
 	// zero value selects the solver defaults used by vlp.Build.
 	CG core.CGOptions
@@ -150,9 +150,6 @@ func (c Config) withDefaults() Config {
 	if c.SolveWait <= 0 {
 		c.SolveWait = 2 * time.Minute
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	if c.CG.Xi == 0 && c.CG.RelGap == 0 {
 		// Default only the stop criteria; any other configured CG fields
 		// (iteration caps, workers, observers) are kept.
@@ -165,7 +162,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// entry is one cached mechanism with its concurrency-safe sampler.
+// entry is one cached mechanism. Everything but served is immutable, so
+// any number of requests sample it at once.
 type entry struct {
 	key       string
 	prob      *core.Problem
@@ -180,44 +178,12 @@ type entry struct {
 	// degraded (nil on the optimal tier); the background upgrade resumes
 	// column generation from it instead of restarting. Immutable.
 	state *core.CGState
-
-	// sampleMu guards rng: mechanism rows are immutable, the RNG stream
-	// is the only mutable sampler state.
-	sampleMu chanMutex
-	rng      *rand.Rand
 }
-
-// chanMutex is a mutex whose Lock can be abandoned on context
-// cancellation, so a request deadline also bounds time spent queueing
-// for a popular mechanism's sampler.
-type chanMutex chan struct{}
-
-func newChanMutex() chanMutex { return make(chanMutex, 1) }
-
-func (m chanMutex) lock(ctx context.Context) error {
-	select {
-	case m <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (m chanMutex) unlock() { <-m }
 
 // newEntry wraps a servable (EnforceGeoI-verified) mechanism in a cache
-// entry with its own sampler stream. It is the only place entries for
-// serving are built.
+// entry. It is the only place entries for serving are built.
 func (s *Server) newEntry(pr *core.Problem, mech *core.Mechanism, etdd, bound float64, tier string) *entry {
-	return &entry{
-		prob:     pr,
-		mech:     mech,
-		etdd:     etdd,
-		bound:    bound,
-		tier:     tier,
-		sampleMu: newChanMutex(),
-		rng:      rand.New(rand.NewSource(s.cfg.Seed + s.seq.Add(1))),
-	}
+	return &entry{prob: pr, mech: mech, etdd: etdd, bound: bound, tier: tier}
 }
 
 // fallbackEntry builds the bottom-rung entry — the ε/2 exponential
@@ -232,16 +198,33 @@ func (s *Server) fallbackEntry(pr *core.Problem) (*entry, error) {
 	return s.newEntry(pr, served, etdd, 0, serial.QualityFallback), nil
 }
 
-// sample obfuscates one true location under the entry's mechanism.
-func (e *entry) sample(ctx context.Context, truth roadnet.Location) (roadnet.Location, error) {
-	if err := e.sampleMu.lock(ctx); err != nil {
-		return roadnet.Location{}, err
-	}
-	defer e.sampleMu.unlock()
-	obf := e.mech.Sample(e.rng, truth)
+// sample obfuscates one true location under the entry's mechanism,
+// drawing from rng, a generator taken from samplers.
+func (e *entry) sample(rng *rand.Rand, truth roadnet.Location) roadnet.Location {
 	e.served.Add(1)
-	return obf, nil
+	return e.mech.Sample(rng, truth)
 }
+
+// samplers pools the generators behind served samples. Geo-I hides a
+// location only while the draw behind its report is secret, so each
+// generator is a ChaCha8 stream keyed from crypto/rand and none can be
+// seeded or replayed. A handler takes one per batch and puts it back
+// afterwards, so concurrent batches never share a generator.
+var samplers = sync.Pool{New: func() any {
+	var key [32]byte
+	if _, err := crand.Read(key[:]); err != nil {
+		panic(err) // never sample from a guessable key
+	}
+	return rand.New(chacha8{randv2.NewChaCha8(key)})
+}}
+
+// chacha8 adapts math/rand/v2's ChaCha8 to the math/rand Source64 that
+// core.Mechanism.Sample draws from.
+type chacha8 struct{ *randv2.ChaCha8 }
+
+func (c chacha8) Int63() int64 { return int64(c.Uint64() >> 1) }
+
+func (chacha8) Seed(int64) { panic("server: sampler generators are keyed, not seeded") }
 
 // Service errors mapped to HTTP statuses by the handlers.
 var (
@@ -269,7 +252,6 @@ type Server struct {
 	serveGate *tierGate
 	stats     *stats
 	closed    atomic.Bool
-	seq       atomic.Int64 // per-solve sampler seed offset
 
 	// ctx is the root of every solve context; cancel fires when a
 	// shutdown drain budget expires and tears down remaining solves.
